@@ -145,26 +145,6 @@ let policy_arg =
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:"What the caller does after a fail verdict: retry or giveup.")
 
-let gc_conv =
-  let parse s =
-    match Dtc_util.Gc_tune.parse s with
-    | t -> Ok t
-    | exception Invalid_argument m -> Error (`Msg m)
-  in
-  let print ppf t = Format.pp_print_string ppf (Dtc_util.Gc_tune.to_string t) in
-  Arg.conv ~docv:"GC" (parse, print)
-
-let gc_arg =
-  Arg.(
-    value
-    & opt gc_conv Dtc_util.Gc_tune.none
-    & info [ "gc" ] ~docv:"SPEC"
-        ~doc:
-          "Per-domain GC tuning for the hot loops, e.g. \
-           $(b,minor-heap=8M,space-overhead=200) (sizes in words, k/M \
-           suffixes).  Applied inside each worker domain (and restored \
-           after sequential runs); defaults leave the runtime untouched.")
-
 let lin_engine_arg =
   let choices =
     [
@@ -407,7 +387,7 @@ let torture_cmd =
   in
   let run kind procs ops trials crash_prob max_crashes policy lin_engine seed
       domains fault watchdog checkpoint resume json no_timing report_file
-      no_shrink gc =
+      no_shrink =
     if resume && checkpoint = None then
       `Error (false, "--resume requires --checkpoint FILE")
     else begin
@@ -418,7 +398,7 @@ let torture_cmd =
       let should_stop = install_stop_flag () in
       match
         Torture.run ~domains ~root_seed:seed ~trials ~shrink:(not no_shrink)
-          ?checkpoint ~resume ~gc ~should_stop spec
+          ?checkpoint ~resume ~should_stop spec
       with
       | exception Torture.Interrupted { completed; total } ->
           interrupted_exit ~completed ~total
@@ -445,8 +425,7 @@ let torture_cmd =
         (const run $ obj_arg $ procs_arg $ ops_arg $ trials_arg
        $ crash_prob_arg $ max_crashes_arg $ policy_arg $ lin_engine_arg
        $ seed_arg $ domains $ fault_arg $ watchdog_arg $ checkpoint_arg
-       $ resume_arg $ json_arg $ no_timing_arg $ report_arg $ no_shrink_arg
-       $ gc_arg))
+       $ resume_arg $ json_arg $ no_timing_arg $ report_arg $ no_shrink_arg))
 
 (* campaign: multi-process supervised torture *)
 
@@ -819,7 +798,7 @@ let modelcheck_cmd =
              over what was visited.")
   in
   let run kind procs ops switches crashes domains no_prune exact_configs engine
-      lin_engine reduction node_budget policy seed gc =
+      lin_engine reduction node_budget policy seed =
     let workloads = workloads_of_kind kind ~seed ~procs ~ops in
     let cfg =
       {
@@ -834,7 +813,6 @@ let modelcheck_cmd =
         lin_engine;
         reduction;
         node_budget;
-        gc;
       }
     in
     let out =
@@ -968,7 +946,7 @@ let modelcheck_cmd =
       ret
         (const run $ obj_arg $ procs_arg $ ops_arg $ switches $ crashes
        $ domains $ no_prune $ exact_configs $ engine $ lin_engine_arg
-       $ reduction $ node_budget $ policy_arg $ seed_arg $ gc_arg))
+       $ reduction $ node_budget $ policy_arg $ seed_arg))
 
 (* witness *)
 

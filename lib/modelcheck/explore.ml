@@ -4,6 +4,12 @@ open Sched
 
 type decision = Step of int | Crash
 
+(* decisions are immutable, so the [Step p] of every small pid is
+   shared: traces and DFS paths then cost one cons cell per step *)
+let shared_steps = Array.init 64 (fun p -> Step p)
+
+let step p = if p >= 0 && p < 64 then shared_steps.(p) else Step p
+
 let pp_decision fmt = function
   | Step pid -> Format.fprintf fmt "p%d" pid
   | Crash -> Format.fprintf fmt "CRASH"
@@ -33,7 +39,6 @@ type config = {
   lin_engine : Lin_check.engine;
   reduction : reduction;
   node_budget : int;
-  gc : Dtc_util.Gc_tune.t;
 }
 
 (* the wipe actually applied at a Crash decision: an explicit fault
@@ -57,7 +62,6 @@ let default_config =
     lin_engine = `Incremental;
     reduction = `None;
     node_budget = 0;
-    gc = Dtc_util.Gc_tune.none;
   }
 
 let engine_name = function `Replay -> "replay" | `Undo -> "undo"
@@ -282,8 +286,11 @@ module Memo_tbl = struct
         end)
       old_keys
 
+  (* grow past 3/4 load: keys are 62-bit mixes, so linear-probe runs
+     stay short, and the table — the explorer's largest structure — is
+     half the size it is at 1/2 load *)
   let set t k ~nodes ~execs ~trunc ~viols =
-    if 2 * (t.count + 1) > t.mask + 1 then grow t;
+    if 4 * (t.count + 1) > 3 * (t.mask + 1) then grow t;
     let i = probe t.keys t.mask k (k land t.mask) in
     if t.keys.(i) = empty then begin
       t.keys.(i) <- k;
@@ -409,12 +416,21 @@ type state = {
   c_perm_stamp : int array;
   c_perm_sig : int array;  (* hash of the permutation the entry was cut for *)
   c_perm_val : int array;  (* rank-relabeled digest, for [canon_key] *)
+  (* the relabeling hashes handed to [proc_sym_sig], built once per
+     state: [c_self_hv.(p)] is [p]'s self-relabeling, [c_perm_hv] and
+     [c_perm_hu] read [c_inv]/[c_rank], which [canon_order] mutates in
+     place.  Closures built per node would allocate on every memo key. *)
+  c_self_hv : (Value.t -> int) array;
+  c_self_hu : int -> int;
+  c_perm_hv : Value.t -> int;
+  c_perm_hu : int -> int;
 }
 
 let mk_state ?(sym_memo = false) cfg mk workloads =
   let n_procs = Array.length workloads in
   let scr () = if sym_memo then Array.make n_procs 0 else [||] in
   let scr_empty () = if sym_memo then Array.make n_procs (-1) else [||] in
+  let c_inv = scr () and c_rank = scr () in
   {
     cfg;
     mk;
@@ -463,8 +479,8 @@ let mk_state ?(sym_memo = false) cfg mk workloads =
     c_flags = scr ();
     c_key = scr ();
     c_ord = scr ();
-    c_inv = scr ();
-    c_rank = scr ();
+    c_inv;
+    c_rank;
     c_pacc = scr ();
     c_slot = scr ();
     c_sess = None;
@@ -473,6 +489,14 @@ let mk_state ?(sym_memo = false) cfg mk workloads =
     c_perm_stamp = scr_empty ();
     c_perm_sig = scr ();
     c_perm_val = scr ();
+    c_self_hv =
+      (if sym_memo then
+         Array.init n_procs (fun p v ->
+             Sym.self_key ~n:n_procs ~pid:p ~seed:5 v)
+       else [||]);
+    c_self_hu = (fun u -> if u < n_procs then -1 else u);
+    c_perm_hv = (fun v -> Sym.hash_perm ~n:n_procs ~inv:c_inv ~seed:7 v);
+    c_perm_hu = (fun u -> if u < n_procs then c_rank.(u) else u);
   }
 
 
@@ -558,6 +582,15 @@ let buf_mem buf n x =
    batches would break the positional correspondence), and the two key
    families are tag-separated so they can share the memo table. *)
 
+(* lexicographic (evr, flags, key, pid) order for [canon_order]'s
+   insertion sort — n is tiny *)
+let canon_lt st p q =
+  let evr = st.c_evr and fl = st.c_flags and ky = st.c_key in
+  evr.(p) < evr.(q)
+  || (evr.(p) = evr.(q)
+     && (fl.(p) < fl.(q)
+        || (fl.(p) = fl.(q) && (ky.(p) < ky.(q) || (ky.(p) = ky.(q) && p < q)))))
+
 let canon_order st session ~smask ~stepped =
   let n = st.n_procs in
   let evr = st.c_evr
@@ -584,9 +617,8 @@ let canon_order st session ~smask ~stepped =
      if st.c_self_stamp.(p) = stamp then ky.(p) <- st.c_self_val.(p)
      else begin
        let v =
-         Session.proc_sym_sig session p
-           ~hash_value:(fun v -> Sym.self_key ~n ~pid:p ~seed:5 v)
-           ~hash_uid:(fun u -> if u < n then -1 else u)
+         Session.proc_sym_sig session p ~hash_value:st.c_self_hv.(p)
+           ~hash_uid:st.c_self_hu
        in
        st.c_self_stamp.(p) <- stamp;
        st.c_self_val.(p) <- v;
@@ -594,18 +626,10 @@ let canon_order st session ~smask ~stepped =
      end);
     ord.(p) <- p
   done;
-  (* lexicographic (evr, flags, key, pid) insertion sort — n is tiny *)
-  let lt p q =
-    evr.(p) < evr.(q)
-    || (evr.(p) = evr.(q)
-       && (fl.(p) < fl.(q)
-          || (fl.(p) = fl.(q)
-             && (ky.(p) < ky.(q) || (ky.(p) = ky.(q) && p < q)))))
-  in
   for i = 1 to n - 1 do
     let x = ord.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && lt x ord.(!j) do
+    while !j >= 0 && canon_lt st x ord.(!j) do
       ord.(!j + 1) <- ord.(!j);
       decr j
     done;
@@ -646,12 +670,15 @@ let canon_mem_digest st mem =
   done;
   !acc
 
+(* [sleep_mask] with each pid relabeled through [rank] *)
+let rec rank_mask rank m = function
+  | [] -> m
+  | (pid, _) :: tl -> rank_mask rank (m lor (1 lsl rank.(pid))) tl
+
 let canon_key st session machine ~cur ~switches ~crashes ~sleep ~stepped =
   let n = st.n_procs in
   canon_order st session ~smask:(sleep_mask sleep) ~stepped;
   let inv = st.c_inv and rank = st.c_rank in
-  let hv v = Sym.hash_perm ~n ~inv ~seed:7 v in
-  let hu u = if u < n then rank.(u) else u in
   let acc = ref 0x5ca90 in
   acc := Value.mix !acc (Session.sym_events_sig session);
   acc := Value.mix !acc (Session.uids session);
@@ -673,7 +700,10 @@ let canon_key st session machine ~cur ~switches ~crashes ~sleep ~stepped =
       if st.c_perm_stamp.(pid) = stamp && st.c_perm_sig.(pid) = psig then
         st.c_perm_val.(pid)
       else begin
-        let d = Session.proc_sym_sig session pid ~hash_value:hv ~hash_uid:hu in
+        let d =
+          Session.proc_sym_sig session pid ~hash_value:st.c_perm_hv
+            ~hash_uid:st.c_perm_hu
+        in
         st.c_perm_stamp.(pid) <- stamp;
         st.c_perm_sig.(pid) <- psig;
         st.c_perm_val.(pid) <- d;
@@ -684,9 +714,7 @@ let canon_key st session machine ~cur ~switches ~crashes ~sleep ~stepped =
   done;
   acc := Value.mix !acc (canon_mem_digest st (Runtime.Machine.mem machine));
   let c = match cur with None -> -1 | Some pid -> rank.(pid) in
-  let rsleep =
-    List.fold_left (fun m (pid, _) -> m lor (1 lsl rank.(pid))) 0 sleep
-  in
+  let rsleep = rank_mask rank 0 sleep in
   let rstepped = ref 0 in
   for p = 0 to n - 1 do
     if stepped land (1 lsl p) <> 0 then rstepped := !rstepped lor (1 lsl rank.(p))
@@ -923,7 +951,7 @@ let rec dfs st decisions ~depth ~hlen ~sleep ~stepped cur switches crashes =
                   | None -> []
                 in
                 let child_here =
-                  dfs st (Step pid :: decisions) ~depth:(depth + 1) ~hlen:here
+                  dfs st (step pid :: decisions) ~depth:(depth + 1) ~hlen:here
                     ~sleep:child_sleep
                     ~stepped:(stepped lor (1 lsl pid))
                     (Some pid) (switches + cost) crashes
@@ -1086,7 +1114,7 @@ let rec dfs_undo st session machine inst decisions ~depth ~hlen ~sleep ~stepped
               Session.mark_into session mb;
               Session.step session pid;
               let silent = Session.event_count session = here in
-              dfs_undo st session machine inst (Step pid :: decisions)
+              dfs_undo st session machine inst (step pid :: decisions)
                 ~depth:(depth + 1) ~hlen:here ~sleep:child_sleep
                 ~stepped:(stepped lor (1 lsl pid))
                 (Some pid) (switches + cost) crashes;
@@ -1234,31 +1262,28 @@ let with_alloc_stats st f =
 
 let explore_sequential ~t0 ~mk ~workloads ~sym_memo cfg =
   let st = mk_state ~sym_memo cfg mk workloads in
-  Dtc_util.Gc_tune.with_applied cfg.gc (fun () ->
-      with_alloc_stats st (fun () ->
-          with_intern_stats st (fun () ->
-              try
-                ignore
-                  (dfs st [] ~depth:0 ~hlen:0 ~sleep:[] ~stepped:0 None 0 0
-                    : int)
-              with Node_cap -> st.capped <- true)));
+  with_alloc_stats st (fun () ->
+      with_intern_stats st (fun () ->
+          try
+            ignore
+              (dfs st [] ~depth:0 ~hlen:0 ~sleep:[] ~stepped:0 None 0 0 : int)
+          with Node_cap -> st.capped <- true));
   finish ~t0 ~domains_used:1 [ st ]
 
 let explore_undo_sequential ~t0 ~mk ~workloads ~sym_memo cfg =
   let st = mk_state ~sym_memo cfg mk workloads in
-  Dtc_util.Gc_tune.with_applied cfg.gc (fun () ->
-      with_alloc_stats st (fun () ->
-          with_intern_stats st (fun () ->
-              let machine, inst = mk () in
-              let session =
-                Session.create ~policy:cfg.policy ~undo:true machine inst
-                  ~workloads
-              in
-              (try
-                 dfs_undo st session machine inst [] ~depth:0 ~hlen:0 ~sleep:[]
-                   ~stepped:0 None 0 0
-               with Node_cap -> st.capped <- true);
-              st.rewound <- Mem.rewound_cells (Runtime.Machine.mem machine))));
+  with_alloc_stats st (fun () ->
+      with_intern_stats st (fun () ->
+          let machine, inst = mk () in
+          let session =
+            Session.create ~policy:cfg.policy ~undo:true machine inst
+              ~workloads
+          in
+          (try
+             dfs_undo st session machine inst [] ~depth:0 ~hlen:0 ~sleep:[]
+               ~stepped:0 None 0 0
+           with Node_cap -> st.capped <- true);
+          st.rewound <- Mem.rewound_cells (Runtime.Machine.mem machine)));
   finish ~t0 ~domains_used:1 [ st ]
 
 (* Parallel exploration: replay the root once to learn the top-level
@@ -1358,9 +1383,6 @@ let explore_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains =
       (fun i task -> chunks.(i mod n_workers) <- task :: chunks.(i mod n_workers))
       tasks;
     let worker idx () =
-      (* worker domains are fresh: GC tuning applies to this domain only
-         and dies with it *)
-      Dtc_util.Gc_tune.apply cfg.gc;
       let st = mk_state ~sym_memo cfg mk workloads in
       (* root-level sleeping and symmetry ride in on the task list (see
          [root_step_tasks]); the node budget stays per worker *)
@@ -1432,9 +1454,6 @@ let explore_undo_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains =
       (fun i task -> chunks.(i mod n_workers) <- task :: chunks.(i mod n_workers))
       tasks;
     let worker idx () =
-      (* worker domains are fresh: GC tuning applies to this domain only
-         and dies with it *)
-      Dtc_util.Gc_tune.apply cfg.gc;
       let st = mk_state ~sym_memo cfg mk workloads in
       with_alloc_stats st (fun () ->
           let machine, inst = mk () in

@@ -47,6 +47,12 @@ open Sched
 
 type decision = Step of int  (** process [pid] takes one step *) | Crash
 
+val step : int -> decision
+(** [step pid] is [Step pid], preallocated and shared for [0 <= pid < 64]
+    so recorded decision sequences allocate nothing per step but their
+    list cells.  Decisions compare structurally, so sharing is
+    invisible. *)
+
 val pp_decision : Format.formatter -> decision -> unit
 
 type engine = [ `Replay | `Undo ]
@@ -174,11 +180,6 @@ type config = {
           [domains > 1] the budget applies per worker domain.  The cap
           is on {e physical} nodes, which is what makes reduced and
           unreduced searches comparable under the same budget. *)
-  gc : Dtc_util.Gc_tune.t;
-      (** per-domain GC tuning applied to every domain the exploration
-          runs on: inside each spawned worker when [domains > 1], and
-          around (with restore-after) the sequential search otherwise.
-          Default {!Dtc_util.Gc_tune.none} — GC parameters untouched. *)
 }
 
 val default_config : config

@@ -5,7 +5,11 @@ open Nvm
    vector is a length-n tuple whose entries all share one structural
    skeleton (constructor shape, not values) — see [skel].  Both
    fingerprint functions below are defined against that action; the
-   .mli explains why over-approximating vector-ness is safe. *)
+   .mli explains why over-approximating vector-ness is safe.
+
+   Every digest on the live path is a plain index loop over a local
+   accumulator: the explorer computes them for every node's memo key,
+   so they must not allocate. *)
 
 (* Structural skeleton: constructor tags only, so [Bool true] and
    [Bool false] agree while [Int _] and [Tup _] differ.  Because the
@@ -23,44 +27,74 @@ let rec skel ~n v =
   | Value.Str _ -> 4
   | Value.Bot -> 5
   | Value.Tup a ->
-      let ks = Array.map (skel ~n) a in
-      if is_vec_skels ~n a ks then Value.mix 7 ks.(0)
-      else Array.fold_left (fun h k -> Value.mix h k) 11 ks
+      let len = Array.length a in
+      if len = 0 then 11
+      else begin
+        let k0 = skel ~n a.(0) in
+        let h = ref (Value.mix 11 k0) and same = ref true in
+        for i = 1 to len - 1 do
+          let k = skel ~n a.(i) in
+          h := Value.mix !h k;
+          if k <> k0 then same := false
+        done;
+        if len = n && !same then Value.mix 7 k0 else !h
+      end
 
-and is_vec_skels ~n a ks =
-  Array.length a = n && Array.for_all (fun k -> k = ks.(0)) ks
+let rec same_skel ~n a k0 i =
+  i >= Array.length a || (skel ~n a.(i) = k0 && same_skel ~n a k0 (i + 1))
 
-let is_vec ~n a = is_vec_skels ~n a (Array.map (skel ~n) a)
+(* a length-n tuple whose entries share one skeleton; stops at the
+   first entry that differs from entry 0 *)
+let is_vec ~n a =
+  Array.length a = n && n > 0 && same_skel ~n a (skel ~n a.(0)) 1
 
 (* is [v] fixed by the transposition (p q)? *)
 let rec swap_ok ~n ~p ~q v =
   match (v : Value.t) with
   | Value.Tup a ->
-      (if is_vec ~n a then Value.equal a.(p) a.(q) else true)
-      && Array.for_all (swap_ok ~n ~p ~q) a
+      ((not (is_vec ~n a)) || Value.equal a.(p) a.(q))
+      && entries_swap_ok ~n ~p ~q a 0
   | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Bot -> true
+
+and entries_swap_ok ~n ~p ~q a i =
+  i >= Array.length a
+  || (swap_ok ~n ~p ~q a.(i) && entries_swap_ok ~n ~p ~q a (i + 1))
+
+(* index of the first location at or after [i] private to [k], or
+   [Mem.n_locs mem] *)
+let rec next_private mem k i =
+  if i >= Mem.n_locs mem then i
+  else
+    match (Mem.loc_by_id mem i).Loc.kind with
+    | Loc.Private k' when k' = k -> i
+    | Loc.Private _ | Loc.Shared -> next_private mem k (i + 1)
+
+let read_id mem i = Mem.read mem (Mem.loc_by_id mem i)
+
+(* the private blocks of [p] and [q] have equal length and equal
+   values slot by slot; [i]/[j] walk the two blocks in step *)
+let rec blocks_equal mem p q i j =
+  let i = next_private mem p i and j = next_private mem q j in
+  let nl = Mem.n_locs mem in
+  if i >= nl || j >= nl then i >= nl && j >= nl
+  else
+    Value.equal (read_id mem i) (read_id mem j)
+    && blocks_equal mem p q (i + 1) (j + 1)
+
+(* every shared cell, and every private cell of [p] or [q] (nested
+   vectors inside them must be fixed too), is fixed by (p q) *)
+let rec cells_swap_ok ~n mem p q i =
+  i >= Mem.n_locs mem
+  ||
+  let loc = Mem.loc_by_id mem i in
+  (match loc.Loc.kind with
+  | Loc.Private k when k <> p && k <> q -> true
+  | Loc.Private _ | Loc.Shared -> swap_ok ~n ~p ~q (Mem.read mem loc))
+  && cells_swap_ok ~n mem p q (i + 1)
 
 let swap_invariant ~n mem p q =
   if p = q then invalid_arg "Sym.swap_invariant: p = q";
-  let ok = ref true in
-  let privs_p = ref [] and privs_q = ref [] in
-  for i = 0 to Mem.n_locs mem - 1 do
-    let loc = Mem.loc_by_id mem i in
-    let v = Mem.read mem loc in
-    (match loc.Loc.kind with
-    | Loc.Private k when k = p -> privs_p := v :: !privs_p
-    | Loc.Private k when k = q -> privs_q := v :: !privs_q
-    | Loc.Private _ -> ()
-    | Loc.Shared -> if not (swap_ok ~n ~p ~q v) then ok := false);
-    (* nested vectors inside private cells must be fixed too *)
-    (match loc.Loc.kind with
-    | Loc.Private k when k = p || k = q ->
-        if not (swap_ok ~n ~p ~q v) then ok := false
-    | _ -> ())
-  done;
-  !ok
-  && List.length !privs_p = List.length !privs_q
-  && List.for_all2 Value.equal (List.rev !privs_p) (List.rev !privs_q)
+  cells_swap_ok ~n mem p q 0 && blocks_equal mem p q 0 0
 
 (* [shape] digests the pid-independent part of a value (vectors
    contribute only a marker and their common skeleton), [slice ~pid]
@@ -73,10 +107,11 @@ let rec shape ~n ~seed v =
   match (v : Value.t) with
   | Value.Tup a when is_vec ~n a -> Value.mix seed (Value.mix 0x5eed7 (skel ~n v))
   | Value.Tup a ->
-      snd
-        (Array.fold_left
-           (fun (i, h) x -> (i + 1, Value.mix h (shape ~n ~seed:(seed + i) x)))
-           (0, Value.mix seed 0x7ab1e) a)
+      let h = ref (Value.mix seed 0x7ab1e) in
+      for i = 0 to Array.length a - 1 do
+        h := Value.mix !h (shape ~n ~seed:(seed + i) a.(i))
+      done;
+      !h
   | v -> Value.hash_seeded seed v
 
 and slice ~n ~pid ~seed v =
@@ -85,11 +120,11 @@ and slice ~n ~pid ~seed v =
       Value.mix 0x511ce
         (Value.mix (shape ~n ~seed a.(pid)) (slice ~n ~pid ~seed a.(pid)))
   | Value.Tup a ->
-      snd
-        (Array.fold_left
-           (fun (i, h) x ->
-             (i + 1, Value.mix h (slice ~n ~pid ~seed:(seed + i) x)))
-           (0, Value.mix seed 0x7ab1e) a)
+      let h = ref (Value.mix seed 0x7ab1e) in
+      for i = 0 to Array.length a - 1 do
+        h := Value.mix !h (slice ~n ~pid ~seed:(seed + i) a.(i))
+      done;
+      !h
   | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Bot -> 0
 
 (* One process's view of a value: the pid-independent shape plus that
@@ -114,11 +149,11 @@ let rec hash_perm ~n ~inv ~seed v =
       done;
       !h
   | Value.Tup a ->
-      snd
-        (Array.fold_left
-           (fun (i, h) x ->
-             (i + 1, Value.mix h (hash_perm ~n ~inv ~seed:(seed + i) x)))
-           (0, Value.mix seed 0x7ab1e) a)
+      let h = ref (Value.mix seed 0x7ab1e) in
+      for i = 0 to Array.length a - 1 do
+        h := Value.mix !h (hash_perm ~n ~inv ~seed:(seed + i) a.(i))
+      done;
+      !h
   | v -> Value.hash_seeded seed v
 
 (* one fingerprint half from one seed; [shared_only] restricts to the
@@ -152,7 +187,7 @@ let half ?(shared_only = false) ~n ~seed mem =
     | Loc.Private _ -> ()
   done;
   (* commutative fold over the per-process views: sort, then chain *)
-  Array.sort compare views;
+  Array.sort Int.compare views;
   Array.fold_left Value.mix !global views
 
 let canonical_fingerprint ~n mem = (half ~n ~seed:1 mem, half ~n ~seed:2 mem)
@@ -169,53 +204,45 @@ let canonical_fingerprint_shared ~n mem =
    shared vector, recursively): a permutation fixes every vector iff it
    permutes pids only within such classes.  Column equality of p and q
    is precisely [swap_ok] over all shared cells, and it is transitive,
-   so |orbit| = N! / prod(class sizes!), computed exactly. *)
+   so |orbit| = N! / prod(class sizes!), computed exactly.
+
+   [same n x p q] decides column equality over the configuration [x];
+   it is passed with [x] rather than closed over it so the live path
+   allocates nothing.  Classes are collected representative-first: the
+   least pid of each class is its representative, and every later
+   unassigned pid equal to it joins it (transitivity makes the classes
+   independent of the order of comparisons).  [assigned] is a bitmask
+   over pids. *)
 
 let rec fact k = if k <= 1 then 1 else k * fact (k - 1)
 
-let orbit_size_classes ~n same =
+let orbit_size_classes ~n same x =
   if n > 20 then invalid_arg "Sym.orbit_size: N! overflows past N = 20";
-  let rep = Array.make n (-1) in
-  let sizes = Array.make n 0 in
-  for p = 0 to n - 1 do
-    let c = ref (-1) in
-    (try
-       for q = 0 to p - 1 do
-         if rep.(q) = q && same p q then begin
-           c := q;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !c < 0 then begin
-      rep.(p) <- p;
-      sizes.(p) <- 1
+  let assigned = ref 0 and denom = ref 1 in
+  for r = 0 to n - 1 do
+    if !assigned land (1 lsl r) = 0 then begin
+      let size = ref 1 in
+      for p = r + 1 to n - 1 do
+        if !assigned land (1 lsl p) = 0 && same n x p r then begin
+          assigned := !assigned lor (1 lsl p);
+          incr size;
+          denom := !denom * !size
+        end
+      done
     end
-    else begin
-      rep.(p) <- !c;
-      sizes.(!c) <- sizes.(!c) + 1
-    end
-  done;
-  let denom = ref 1 in
-  for p = 0 to n - 1 do
-    if rep.(p) = p then denom := !denom * fact sizes.(p)
   done;
   fact n / !denom
 
-let orbit_size_shared ~n mem =
-  orbit_size_classes ~n (fun p q ->
-      let ok = ref true in
-      (try
-         for i = 0 to Mem.n_locs mem - 1 do
-           let loc = Mem.loc_by_id mem i in
-           if Loc.is_shared loc && not (swap_ok ~n ~p ~q (Mem.read mem loc))
-           then begin
-             ok := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !ok)
+let rec shared_swap_ok n mem p q i =
+  i >= Mem.n_locs mem
+  ||
+  let loc = Mem.loc_by_id mem i in
+  ((not (Loc.is_shared loc)) || swap_ok ~n ~p ~q (Mem.read mem loc))
+  && shared_swap_ok n mem p q (i + 1)
+
+let live_same n mem p q = shared_swap_ok n mem p q 0
+
+let orbit_size_shared ~n mem = orbit_size_classes ~n live_same mem
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot-side variants, for Config_set's canonical Exact audit mode:
@@ -254,12 +281,12 @@ let cells_fingerprint_shared ~n cells =
   ( cells_half ~shared_only:true ~n ~seed:1 cells,
     cells_half ~shared_only:true ~n ~seed:2 cells )
 
-let cells_orbit_size_shared ~n cells =
-  orbit_size_classes ~n (fun p q ->
-      Array.for_all
-        (fun ((loc : Loc.t), v) ->
-          (not (Loc.is_shared loc)) || swap_ok ~n ~p ~q v)
-        cells)
+let cells_same n cells p q =
+  Array.for_all
+    (fun ((loc : Loc.t), v) -> (not (Loc.is_shared loc)) || swap_ok ~n ~p ~q v)
+    cells
+
+let cells_orbit_size_shared ~n cells = orbit_size_classes ~n cells_same cells
 
 (* the action of one permutation on a value: entry r of a vector comes
    from entry [perm.(r)] (the direction is irrelevant to the callers —

@@ -87,6 +87,29 @@ val hash_perm : n:int -> inv:int array -> seed:int -> Value.t -> int
     memory contents and logged response values into its
     symmetry-canonical memo key. *)
 
+(** {1 Digest primitives}
+
+    The building blocks of the digests above, exposed so the test suite
+    can hold them bit-for-bit against a reference implementation.  All
+    are allocation-free. *)
+
+val skel : n:int -> Value.t -> int
+(** Structural skeleton: constructor tags only, so [Bool true] and
+    [Bool false] agree while [Int _] and [Tup _] differ; a pid-indexed
+    vector contributes its common entry skeleton once. *)
+
+val is_vec : n:int -> Value.t array -> bool
+(** Is a tuple with these entries classified as a pid-indexed vector:
+    length [n] and all entries of one {!skel}? *)
+
+val shape : n:int -> seed:int -> Value.t -> int
+(** Digest of the pid-independent part of a value: vectors contribute
+    only a marker and their common skeleton. *)
+
+val slice : n:int -> pid:int -> seed:int -> Value.t -> int
+(** Digest of one process's view of a value: each vector contributes
+    only its [pid]-th entry. *)
+
 (** {1 Snapshot-side variants}
 
     Audit/test-path equivalents over {!Mem.snapshot_cells} arrays, used

@@ -970,54 +970,56 @@ let mut_stamp s pid =
     invalid_arg "Session.mut_stamp: no such process";
   s.procs.(pid).stamp
 
+(* [proc_sym_sig]'s folds thread the accumulator through top-level
+   helpers rather than closures over a ref, so a digest allocates
+   nothing beyond what [hash_value]/[hash_uid] do. *)
+let sym_status ~hash_value ~hash_uid = function
+  | Idle -> 1
+  | Announced (uid, op) ->
+      Value.mix (Value.mix 2 (hash_uid uid)) (Hashtbl.hash op)
+  | Completed (uid, op, v) ->
+      Value.mix
+        (Value.mix (Value.mix 3 (hash_uid uid)) (Hashtbl.hash op))
+        (hash_value v)
+
+let rec sym_ops_tail acc = function
+  | [] -> acc
+  | op :: tl -> sym_ops_tail (Value.mix acc (Hashtbl.hash op)) tl
+
+let sym_ops acc ops = sym_ops_tail (Value.mix acc (List.length ops)) ops
+
+let sym_inc ~hash_value ~hash_uid acc inc =
+  let acc = Value.mix acc (if inc.restart then 0x21 else 0x22) in
+  let acc = sym_ops acc inc.i_todo in
+  let acc = Value.mix acc (sym_status ~hash_value ~hash_uid inc.i_status) in
+  let acc = ref (Value.mix acc (if inc.i_rec_started then 1 else 0)) in
+  for i = 0 to inc.log_len - 1 do
+    match inc.log.(i) with
+    | E_resp v -> acc := Value.mix !acc (Value.mix 0x31 (hash_value v))
+    | E_uid u -> acc := Value.mix !acc (Value.mix 0x32 (hash_uid u))
+    | E_pending p -> acc := Value.mix !acc (Value.mix 0x33 (Hashtbl.hash p))
+  done;
+  !acc
+
+(* incs head = current incarnation; fold oldest first *)
+let rec sym_incs ~hash_value ~hash_uid acc = function
+  | [] -> acc
+  | inc :: tl ->
+      sym_inc ~hash_value ~hash_uid (sym_incs ~hash_value ~hash_uid acc tl) inc
+
 let proc_sym_sig s pid ~hash_value ~hash_uid =
   if not s.undo then
     invalid_arg "Session.proc_sym_sig: session is not in undo mode";
   if pid < 0 || pid >= Array.length s.procs then
     invalid_arg "Session.proc_sym_sig: no such process";
   let ps = s.procs.(pid) in
-  let acc = ref 0 in
-  let fold_status st =
-    match st with
-    | Idle -> 1
-    | Announced (uid, op) ->
-        Value.mix (Value.mix 2 (hash_uid uid)) (Hashtbl.hash op)
-    | Completed (uid, op, v) ->
-        Value.mix
-          (Value.mix (Value.mix 3 (hash_uid uid)) (Hashtbl.hash op))
-          (hash_value v)
-  in
-  let fold_ops ops =
-    acc := Value.mix !acc (List.length ops);
-    List.iter (fun op -> acc := Value.mix !acc (Hashtbl.hash op)) ops
-  in
-  let fold_inc inc =
-    acc := Value.mix !acc (if inc.restart then 0x21 else 0x22);
-    fold_ops inc.i_todo;
-    acc := Value.mix !acc (fold_status inc.i_status);
-    acc := Value.mix !acc (if inc.i_rec_started then 1 else 0);
-    for i = 0 to inc.log_len - 1 do
-      match inc.log.(i) with
-      | E_resp v -> acc := Value.mix !acc (Value.mix 0x31 (hash_value v))
-      | E_uid u -> acc := Value.mix !acc (Value.mix 0x32 (hash_uid u))
-      | E_pending p -> acc := Value.mix !acc (Value.mix 0x33 (Hashtbl.hash p))
-    done
-  in
-  (* incs head = current incarnation; fold oldest first *)
-  let rec go = function
-    | [] -> ()
-    | inc :: tl ->
-        go tl;
-        fold_inc inc
-  in
-  go ps.incs;
-  acc := Value.mix !acc (fold_status ps.status);
+  let acc = sym_incs ~hash_value ~hash_uid 0 ps.incs in
+  let acc = Value.mix acc (sym_status ~hash_value ~hash_uid ps.status) in
   let flags =
     (if ps.in_recovery then 1 else 0)
     lor (if ps.rec_started then 2 else 0)
     lor (if ps.l_runnable then 4 else 0)
     lor if ps.l_done then 8 else 0
   in
-  fold_ops ps.todo;
-  acc := Value.mix !acc (Value.mix ps.cur_steps flags);
-  !acc
+  let acc = sym_ops acc ps.todo in
+  Value.mix acc (Value.mix ps.cur_steps flags)
