@@ -5,16 +5,13 @@
 
    - "detectable-bench/checker-v1"  — `bench/main.exe --json` (model
      checker throughput trajectory);
-   - "detectable-torture/v1"        — one torture run report from the
-     pre-fault-model engine (still validated so archived reports keep
-     checking);
-   - "detectable-torture/v2"        — one torture run report: v1 plus
-     the fault-model and watchdog config, the budget_exhausted /
-     engine_faults verdict counters and the first_engine_fault record;
    - "detectable-torture/v3"        — one torture run report from the
-     pre-supervisor engine: v2 plus the per-campaign allocation profile
-     ("timing.alloc": minor/promoted words, minor collections,
-     bytes_per_trial);
+     pre-supervisor engine (the version embedded in the committed
+     BENCH_torture.json): the run config including the fault model and
+     watchdog, the verdict counters (budget_exhausted / engine_faults
+     included), the first_failure and first_engine_fault records and
+     the per-campaign allocation profile ("timing.alloc": minor/promoted
+     words, minor collections, bytes_per_trial);
    - "detectable-torture/v4"        — one torture run report, as written
      by `detect_cli torture/campaign --json/--report`: v3 plus the
      "timing.supervision" block (worker spawn/death/hang, rescue,
@@ -22,48 +19,42 @@
      chaos-injection parameters) — all-zero for a plain single-process
      torture run, and checkable with --chaos-active (see below) for a
      run that must demonstrably have exercised the supervisor;
-   - "detectable-bench/torture-v1"  — a torture bench baseline
-     (`bench/main.exe --baseline`), i.e. header + one embedded torture
-     report per campaign (any report version, detected per report);
-   - "detectable-bench/torture-v2"  — v1 plus, per campaign, the "perf"
-     allocation block and the ISSUE 8 gates ("min_trials_per_sec"
-     throughput floor, "max_bytes_per_trial" allocation ceiling) — the
-     committed BENCH_torture.json;
+   - "detectable-bench/torture-v2"  — a torture bench baseline
+     (`bench/main.exe --baseline`, the committed BENCH_torture.json):
+     header + one embedded torture report per campaign, each with a
+     "perf" block carrying the allocation profile and the gates
+     ("min_trials_per_sec" throughput floor, "max_bytes_per_trial"
+     allocation ceiling);
    - "detectable-bench/fault-v1"    — the fault-model matrix baseline
      (`bench/main.exe --baseline`, the committed BENCH_fault.json):
      one cell per (object, fault model) with the five verdict counters
      and throughput;
-   - "detectable-modelcheck/v1"     — a modelcheck engine baseline
-     (`bench/main.exe --baseline`):
-     per case the engine-independent counters plus one throughput record
-     per execution substrate and the measured undo/replay speedup;
-   - "detectable-modelcheck/v2"     — v1 plus, per substrate record, an
-     "alloc" block (bytes_per_node), and per case the ISSUE 8 gates
-     ("min_nodes_per_sec" undo floor, "max_bytes_per_node" allocation
-     ceiling);
-   - "detectable-modelcheck/v3"     — v2 plus a top-level
-     "reduction_cases" array: per config and engine one run under every
-     reduction mode (none / dpor / dpor+sym / dpor+sym-memo) with exact
-     node and violation counters and the "min_node_reduction" gate —
-     the committed BENCH_modelcheck.json;
+   - "detectable-modelcheck/v4"     — the modelcheck baseline
+     (`bench/main.exe --baseline`, the committed BENCH_modelcheck.json):
+     per case the exact counters, one "perf" record (throughput and
+     "alloc" block) and the gates ("min_nodes_per_sec" throughput floor,
+     "max_bytes_per_node" allocation ceiling), plus a top-level
+     "reduction_cases" array: per config one run under every reduction
+     mode (none / dpor / dpor+sym / dpor+sym-memo) with exact node and
+     violation counters and the "min_node_reduction" gate;
    - "detectable-lincheck/v1"       — a linearizability-checker engine
      baseline (`bench/main.exe --baseline`, the committed
      BENCH_lincheck.json): per case the engine-independent counters plus
      one record per checker engine and the measured incremental/batch
      speedup;
-   - "detectable-bench/lowerbound-v1" — the Theorem 1 lower-bound
-     baseline (`bench/main.exe --lowerbound`): per process count N one
-     reduced and one unreduced exploration under a shared node budget,
-     with the distinct-configuration counts checked against the 2^(N-1)
-     bound (this validator re-checks the arithmetic, not just the keys);
-   - "detectable-bench/lowerbound-v2" — v1 plus per-case "workload" and
-     "recheck" markers and per-run symmetry counters
-     (sym_skips / source_skips / canonical_orbits); cases may now run
-     any reduction-mode pair, and only the certifying modes (dpor,
+   - "detectable-bench/lowerbound-v2" — the Theorem 1 lower-bound
+     baseline (`bench/main.exe --lowerbound`, the committed
+     BENCH_lowerbound.json): per process count N a pair of explorations
+     under a shared node budget, with per-case "workload" and "recheck"
+     markers and per-run symmetry counters (sym_skips / source_skips /
+     canonical_orbits).  The distinct-configuration counts are checked
+     against the 2^(N-1) bound (this validator re-checks the
+     arithmetic, not just the keys); only the certifying modes (dpor,
      dpor+sym-memo) are held to the bound — dpor+sym rows are the
      committed evidence that plain symmetry reduction under-counts, so
-     at least one of them must miss — the committed
-     BENCH_lowerbound.json.
+     at least one of them must miss.
+
+   Formats that nothing writes any more are refused as unknown schemas.
 
    With --chaos-active (valid only for detectable-torture/v4 files) the
    validator additionally requires the supervision counters to show a
@@ -101,12 +92,6 @@ let check_checker j =
 let check_dist what d =
   require_keys what d [ "min"; "max"; "mean"; "total" ]
 
-(* one torture report; [v] selects the report version (2 adds the
-   fault-model config, the extra verdict counters and
-   first_engine_fault; 3 adds the timing.alloc block; 4 adds
-   timing.supervision); [top] says whether the "schema" and "timing"
-   markers are required (they are omitted for reports embedded in a
-   baseline file, whose timing lives in "perf") *)
 let check_alloc what a =
   require_keys what a
     [ "minor_words"; "promoted_words"; "minor_collections" ]
@@ -122,19 +107,26 @@ let check_supervision s =
   require_keys "supervision chaos" (member "chaos" s)
     [ "kill"; "hang"; "seed" ]
 
+(* one torture report; [v] selects the report version (4 adds
+   timing.supervision to 3); [top] says whether the "timing" block is
+   required (it is omitted for reports embedded in a baseline file,
+   whose timing lives in "perf") *)
 let check_torture_report ?(top = true) ~v j =
   require_keys "torture report" j
-    ([
-       "object"; "root_seed"; "trials"; "config"; "verdicts"; "recoveries";
-       "crashes"; "steps"; "max_shared_bits"; "first_failure";
-     ]
-    @ if v >= 2 then [ "first_engine_fault" ] else []);
+    [
+      "object"; "root_seed"; "trials"; "config"; "verdicts"; "recoveries";
+      "crashes"; "steps"; "max_shared_bits"; "first_failure";
+      "first_engine_fault";
+    ];
   require_keys "torture config" (member "config" j)
-    ([ "policy"; "crash_prob"; "max_crashes"; "max_steps" ]
-    @ if v >= 2 then [ "fault"; "watchdog" ] else []);
+    [
+      "policy"; "crash_prob"; "max_crashes"; "max_steps"; "fault"; "watchdog";
+    ];
   require_keys "torture verdicts" (member "verdicts" j)
-    ([ "linearized"; "not_linearized"; "incomplete" ]
-    @ if v >= 2 then [ "budget_exhausted"; "engine_faults" ] else []);
+    [
+      "linearized"; "not_linearized"; "incomplete"; "budget_exhausted";
+      "engine_faults";
+    ];
   require_keys "torture recoveries" (member "recoveries" j)
     [ "returned"; "fail_verdicts" ];
   let crashes = member "crashes" j in
@@ -150,24 +142,19 @@ let check_torture_report ?(top = true) ~v j =
   | f ->
       require_keys "first_failure" f
         [ "trial"; "seed"; "msg"; "schedule"; "minimised"; "shrink_attempts" ]);
-  (if v >= 2 then
-     match member "first_engine_fault" j with
-     | Null -> ()
-     | f -> require_keys "first_engine_fault" f [ "trial"; "seed"; "msg" ]);
+  (match member "first_engine_fault" j with
+  | Null -> ()
+  | f -> require_keys "first_engine_fault" f [ "trial"; "seed"; "msg" ]);
   (* v4 reports written with --no-timing drop the whole timing block —
      that is what makes them byte-comparable across torture / campaign /
      chaos / resume runs — so for v4 its absence is legal *)
   if top && (v < 4 || mem "timing" j) then begin
     let timing = member "timing" j in
     require_keys "torture timing" timing
-      ([ "elapsed_s"; "trials_per_sec"; "domains" ]
-      @ (if v >= 2 then [ "shards_rescued" ] else [])
-      @ if v >= 3 then [ "alloc" ] else []);
-    if v >= 3 then begin
-      let a = member "alloc" timing in
-      check_alloc "torture timing alloc" a;
-      require_keys "torture timing alloc" a [ "bytes_per_trial" ]
-    end;
+      [ "elapsed_s"; "trials_per_sec"; "domains"; "shards_rescued"; "alloc" ];
+    let a = member "alloc" timing in
+    check_alloc "torture timing alloc" a;
+    require_keys "torture timing alloc" a [ "bytes_per_trial" ];
     if v >= 4 then begin
       require_keys "torture timing" timing [ "supervision" ];
       check_supervision (member "supervision" timing)
@@ -197,11 +184,7 @@ let check_chaos_active j =
           k)
     [ "rescues"; "retries"; "degradations" ]
 
-(* embedded baseline reports carry no "schema" key; sniff the version
-   from the config block *)
-let torture_report_version j = if mem "fault" (member "config" j) then 2 else 1
-
-let check_torture_baseline ~v j =
+let check_torture_baseline j =
   require_keys "torture baseline" j [ "root_seed"; "trials"; "campaigns" ];
   match get_list (member "campaigns" j) with
   | [] -> fail "json_check: \"campaigns\" must be a non-empty array"
@@ -209,20 +192,18 @@ let check_torture_baseline ~v j =
       List.iter
         (fun c ->
           require_keys "campaign" c [ "report"; "perf" ];
-          let r = member "report" c in
-          check_torture_report ~top:false ~v:(torture_report_version r) r;
+          (* the embedded report's own timing is dropped (it lives in
+             "perf"), so every report version has the same keys here *)
+          check_torture_report ~top:false ~v:3 (member "report" c);
           let perf = member "perf" c in
           require_keys "campaign perf" perf
-            ([ "elapsed_s"; "trials_per_sec"; "domains" ]
-            @
-            if v >= 2 then
-              [ "alloc"; "min_trials_per_sec"; "max_bytes_per_trial" ]
-            else []);
-          if v >= 2 then begin
-            let a = member "alloc" perf in
-            check_alloc "campaign perf alloc" a;
-            require_keys "campaign perf alloc" a [ "bytes_per_trial" ]
-          end)
+            [
+              "elapsed_s"; "trials_per_sec"; "domains"; "alloc";
+              "min_trials_per_sec"; "max_bytes_per_trial";
+            ];
+          let a = member "alloc" perf in
+          check_alloc "campaign perf alloc" a;
+          require_keys "campaign perf alloc" a [ "bytes_per_trial" ])
         campaigns
 
 let check_fault_baseline j =
@@ -244,50 +225,39 @@ let check_fault_baseline j =
             [ "elapsed_s"; "trials_per_sec"; "domains" ])
         cells
 
-let check_modelcheck_baseline ~v j =
+let check_modelcheck_baseline j =
   match get_list (member "cases" j) with
   | [] -> fail "json_check: \"cases\" must be a non-empty array"
   | cases ->
       List.iter
         (fun c ->
           require_keys "modelcheck case" c
-            ([
-               "object"; "switch_budget"; "crash_budget"; "domains";
-               "counters"; "engines"; "undo_speedup"; "min_speedup";
-             ]
-            @
-            if v >= 2 then [ "min_nodes_per_sec"; "max_bytes_per_node" ]
-            else []);
+            [
+              "object"; "switch_budget"; "crash_budget"; "domains"; "counters";
+              "perf"; "min_nodes_per_sec"; "max_bytes_per_node";
+            ];
           require_keys "modelcheck counters" (member "counters" c)
             [
               "executions"; "truncated"; "nodes"; "total_violations";
               "distinct_shared_configs";
             ];
-          match get_list (member "engines" c) with
-          | [] -> fail "json_check: case \"engines\" must be a non-empty array"
-          | engines ->
-              List.iter
-                (fun e ->
-                  require_keys "substrate record" e
-                    [
-                      "engine"; "elapsed_s"; "nodes_per_sec"; "rewound_cells";
-                      "rewound_cells_per_sec"; "intern_hit_rate";
-                    ];
-                  if v >= 2 then begin
-                    let a = member "alloc" e in
-                    check_alloc "substrate alloc" a;
-                    require_keys "substrate alloc" a [ "bytes_per_node" ]
-                  end)
-                engines)
+          let p = member "perf" c in
+          require_keys "modelcheck perf" p
+            [
+              "elapsed_s"; "nodes_per_sec"; "rewound_cells";
+              "rewound_cells_per_sec"; "intern_hit_rate"; "alloc";
+            ];
+          let a = member "alloc" p in
+          check_alloc "modelcheck perf alloc" a;
+          require_keys "modelcheck perf alloc" a [ "bytes_per_node" ])
         cases
 
-(* v3 reduction-ratio section: every engine entry must carry one run per
-   reduction mode, the verdicts must agree across the modes of an entry
-   (a reduced search keeps one representative per equivalence class, so
-   the raw count of violating executions may shrink, but whether a
-   violation exists may not — reduction soundness is visible in the
-   committed artefact itself), and the recorded node_reduction must
-   clear its own gate *)
+(* reduction-ratio section: every case must carry one run per reduction
+   mode, the verdicts must agree across the modes (a reduced search
+   keeps one representative per equivalence class, so the raw count of
+   violating executions may shrink, but whether a violation exists may
+   not — reduction soundness is visible in the committed artefact
+   itself), and the recorded node_reduction must clear its own gate *)
 let check_modelcheck_reductions j =
   match get_list (member "reduction_cases" j) with
   | [] -> fail "json_check: \"reduction_cases\" must be a non-empty array"
@@ -295,59 +265,46 @@ let check_modelcheck_reductions j =
       List.iter
         (fun c ->
           require_keys "reduction case" c
-            [ "object"; "switch_budget"; "crash_budget"; "engines" ];
+            [
+              "object"; "switch_budget"; "crash_budget"; "runs";
+              "node_reduction"; "min_node_reduction";
+            ];
           let label = get_str (member "object" c) in
-          match get_list (member "engines" c) with
-          | [] ->
-              fail "json_check: reduction case \"engines\" must be non-empty"
-          | engines ->
-              List.iter
-                (fun e ->
-                  require_keys "reduction engine entry" e
-                    [
-                      "engine"; "runs"; "node_reduction"; "min_node_reduction";
-                    ];
-                  let engine = get_str (member "engine" e) in
-                  let runs = get_list (member "runs" e) in
-                  if List.length runs < 2 then
-                    fail
-                      "json_check: reduction case %s/%s needs at least an \
-                       unreduced and a reduced run"
-                      label engine;
-                  let viols = ref [] in
-                  List.iter
-                    (fun r ->
-                      require_keys "reduction run" r
-                        [
-                          "reduction"; "nodes"; "executions";
-                          "total_violations"; "distinct_shared_configs";
-                        ];
-                      viols :=
-                        ( get_str (member "reduction" r),
-                          get_int (member "total_violations" r) )
-                        :: !viols)
-                    runs;
-                  (match !viols with
-                  | [] -> ()
-                  | (_, v0) :: _ ->
-                      List.iter
-                        (fun (red, v) ->
-                          if v > 0 <> (v0 > 0) then
-                            fail
-                              "json_check: reduction case %s/%s: %s records \
-                               %d violations where another mode records %d \
-                               — verdict parity broken in the committed \
-                               artefact"
-                              label engine red v v0)
-                        !viols);
-                  let ratio = get_num (member "node_reduction" e) in
-                  let gate = get_num (member "min_node_reduction" e) in
-                  if ratio < gate then
-                    fail
-                      "json_check: reduction case %s/%s records \
-                       node_reduction %.2f under its own gate %.2f"
-                      label engine ratio gate)
-                engines)
+          let runs = get_list (member "runs" c) in
+          if List.length runs < 2 then
+            fail
+              "json_check: reduction case %s needs at least an unreduced and \
+               a reduced run"
+              label;
+          let viols =
+            List.map
+              (fun r ->
+                require_keys "reduction run" r
+                  [
+                    "reduction"; "nodes"; "executions"; "total_violations";
+                    "distinct_shared_configs";
+                  ];
+                ( get_str (member "reduction" r),
+                  get_int (member "total_violations" r) ))
+              runs
+          in
+          let _, v0 = List.hd viols in
+          List.iter
+            (fun (red, v) ->
+              if v > 0 <> (v0 > 0) then
+                fail
+                  "json_check: reduction case %s: %s records %d violations \
+                   where another mode records %d — verdict parity broken in \
+                   the committed artefact"
+                  label red v v0)
+            viols;
+          let ratio = get_num (member "node_reduction" c) in
+          let gate = get_num (member "min_node_reduction" c) in
+          if ratio < gate then
+            fail
+              "json_check: reduction case %s records node_reduction %.2f \
+               under its own gate %.2f"
+              label ratio gate)
         cases
 
 (* The lower-bound validator checks the arithmetic, not just the keys:
@@ -359,13 +316,11 @@ let check_modelcheck_reductions j =
    full sweeps (smoke runs may stop earlier): when the sweep reaches
    n >= 5, at least one case must show the unreduced search missing the
    bound under the shared node budget; and when any "dpor+sym" rows are
-   present (v2), at least one must miss it — otherwise the committed
+   present, at least one must miss it — otherwise the committed
    artefact no longer demonstrates why the canonical-memo counters are
    needed. *)
-let check_lowerbound_baseline ~v j =
-  require_keys "lowerbound baseline" j
-    ([ "object"; "crash_budget"; "cases" ]
-    @ if v >= 2 then [] else [ "workload" ]);
+let check_lowerbound_baseline j =
+  require_keys "lowerbound baseline" j [ "object"; "crash_budget"; "cases" ];
   let get_bool what x =
     match x with
     | Bool b -> b
@@ -383,8 +338,10 @@ let check_lowerbound_baseline ~v j =
       List.iter
         (fun c ->
           require_keys "lowerbound case" c
-            ([ "n"; "switch_budget"; "node_budget"; "bound"; "runs" ]
-            @ if v >= 2 then [ "workload"; "recheck" ] else []);
+            [
+              "n"; "switch_budget"; "node_budget"; "bound"; "runs"; "workload";
+              "recheck";
+            ];
           let n = get_int (member "n" c) in
           let bound = get_int (member "bound" c) in
           if n < 2 then fail "json_check: lowerbound case has n=%d < 2" n;
@@ -399,15 +356,12 @@ let check_lowerbound_baseline ~v j =
               List.iter
                 (fun r ->
                   require_keys "lowerbound run" r
-                    ([
-                       "reduction"; "configs"; "nodes"; "executions";
-                       "sleep_skips"; "capped"; "meets_bound"; "elapsed_s";
-                       "nodes_per_sec";
-                     ]
-                    @
-                    if v >= 2 then
-                      [ "sym_skips"; "source_skips"; "canonical_orbits" ]
-                    else []);
+                    [
+                      "reduction"; "configs"; "nodes"; "executions";
+                      "sleep_skips"; "capped"; "meets_bound"; "elapsed_s";
+                      "nodes_per_sec"; "sym_skips"; "source_skips";
+                      "canonical_orbits";
+                    ];
                   let red = get_str (member "reduction" r) in
                   let configs = get_int (member "configs" r) in
                   let meets = get_bool "meets_bound" (member "meets_bound" r) in
@@ -416,18 +370,13 @@ let check_lowerbound_baseline ~v j =
                       "json_check: lowerbound N=%d %s: meets_bound=%b but \
                        configs=%d vs bound=%d"
                       n red meets configs bound;
-                  (* v1 predates the non-certifying dpor+sym contrast
-                     rows, so there every reduced run is held to the
-                     bound; v2 also exempts capped certifying runs —
-                     their counters are partial (CI smokes run the N=7
-                     case under a tiny node cap), so a miss is absence
-                     of evidence, not evidence of absence *)
-                  let capped =
-                    v >= 2 && get_bool "capped" (member "capped" r)
-                  in
+                  (* capped certifying runs are exempt: their counters
+                     are partial (CI smokes run the N=7 case under a
+                     tiny node cap), so a miss is absence of evidence,
+                     not evidence of absence *)
                   let must_certify =
-                    if v >= 2 then certifying red && not capped
-                    else red <> "none"
+                    certifying red
+                    && not (get_bool "capped" (member "capped" r))
                   in
                   if must_certify && n >= 4 && not meets then
                     fail
@@ -444,18 +393,14 @@ let check_lowerbound_baseline ~v j =
                   end)
                 runs)
         cases);
-  (* the v2 sweep may legitimately contain no unreduced rows at all
-     (the N>=7 uniform cases and the CI smoke run reduced pairs only);
-     the obligation applies as soon as any are present *)
-  if
-    !max_n >= 5
-    && not !unreduced_miss
-    && (v < 2 || !unreduced_rows > 0)
-  then
+  (* the sweep may legitimately contain no unreduced rows at all (the
+     N>=7 uniform cases and the CI smoke run reduced pairs only); the
+     obligation applies as soon as any are present *)
+  if !max_n >= 5 && not !unreduced_miss && !unreduced_rows > 0 then
     fail
       "json_check: lowerbound baseline shows no case where the unreduced \
        search misses the bound — the budget comparison lost its teeth";
-  if v >= 2 && !sym_rows > 0 && !sym_misses = 0 then
+  if !sym_rows > 0 && !sym_misses = 0 then
     fail
       "json_check: lowerbound baseline has dpor+sym rows but none misses \
        the bound — the canonical-memo contrast evidence is gone"
@@ -518,12 +463,6 @@ let () =
       | "detectable-bench/checker-v1" ->
           check_checker j;
           print_endline "bench --json output: valid"
-      | "detectable-torture/v1" ->
-          check_torture_report ~v:1 j;
-          print_endline "torture report: valid"
-      | "detectable-torture/v2" ->
-          check_torture_report ~v:2 j;
-          print_endline "torture report: valid"
       | "detectable-torture/v3" ->
           check_torture_report ~v:3 j;
           print_endline "torture report: valid"
@@ -533,33 +472,21 @@ let () =
           print_endline
             (if chaos_active then "torture report: valid, chaos active"
              else "torture report: valid")
-      | "detectable-bench/torture-v1" ->
-          check_torture_baseline ~v:1 j;
-          print_endline "torture baseline: valid"
       | "detectable-bench/torture-v2" ->
-          check_torture_baseline ~v:2 j;
+          check_torture_baseline j;
           print_endline "torture baseline: valid"
       | "detectable-bench/fault-v1" ->
           check_fault_baseline j;
           print_endline "fault baseline: valid"
-      | "detectable-modelcheck/v1" ->
-          check_modelcheck_baseline ~v:1 j;
-          print_endline "modelcheck baseline: valid"
-      | "detectable-modelcheck/v2" ->
-          check_modelcheck_baseline ~v:2 j;
-          print_endline "modelcheck baseline: valid"
-      | "detectable-modelcheck/v3" ->
-          check_modelcheck_baseline ~v:3 j;
+      | "detectable-modelcheck/v4" ->
+          check_modelcheck_baseline j;
           check_modelcheck_reductions j;
           print_endline "modelcheck baseline: valid"
       | "detectable-lincheck/v1" ->
           check_lincheck_baseline j;
           print_endline "lincheck baseline: valid"
-      | "detectable-bench/lowerbound-v1" ->
-          check_lowerbound_baseline ~v:1 j;
-          print_endline "lowerbound baseline: valid"
       | "detectable-bench/lowerbound-v2" ->
-          check_lowerbound_baseline ~v:2 j;
+          check_lowerbound_baseline j;
           print_endline "lowerbound baseline: valid"
       | s -> fail "json_check: unknown schema %S" s
       | exception Error m -> fail "json_check: %s: %s" path m)

@@ -733,8 +733,10 @@ let modelcheck_cmd =
       value & flag
       & info [ "no-prune" ]
           ~doc:
-            "Disable the visited-set subtree memoisation (replays every DFS \
-             node from scratch, like the original engine).")
+            "Disable the visited-set subtree memoisation, so revisits of an \
+             already-summarised state are explored again.  Executions, \
+             violations and configuration counts are unchanged; only the \
+             number of visited nodes grows.")
   in
   let exact_configs =
     Arg.(
@@ -743,24 +745,6 @@ let modelcheck_cmd =
           ~doc:
             "Keep full snapshots in the configuration set to audit \
              fingerprint collisions (more memory).")
-  in
-  let engine =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("undo", (`Undo : Modelcheck.Explore.engine));
-               ("replay", `Replay);
-             ])
-          `Undo
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution substrate: $(b,undo) backtracks one live \
-             machine/session over the store's write journal; $(b,replay) \
-             rebuilds from the root at every DFS node (the historical \
-             engine).  Both visit the same nodes and report identical \
-             counters.")
   in
   let reduction =
     Arg.(
@@ -797,7 +781,7 @@ let modelcheck_cmd =
              A capped run reports partial counters — valid lower bounds \
              over what was visited.")
   in
-  let run kind procs ops switches crashes domains no_prune exact_configs engine
+  let run kind procs ops switches crashes domains no_prune exact_configs
       lin_engine reduction node_budget policy seed =
     let workloads = workloads_of_kind kind ~seed ~procs ~ops in
     let cfg =
@@ -809,7 +793,6 @@ let modelcheck_cmd =
         domains;
         prune = not no_prune;
         exact_configs;
-        engine;
         lin_engine;
         reduction;
         node_budget;
@@ -831,7 +814,7 @@ let modelcheck_cmd =
         float_of_int m.Modelcheck.Explore.dedup_hits /. float_of_int total
     in
     Printf.printf
-      "dedup: %d hits (%.1f%%), %d replays saved, %d states tracked%s\n"
+      "dedup: %d hits (%.1f%%), %d node visits saved, %d states tracked%s\n"
       m.Modelcheck.Explore.dedup_hits (100.0 *. hit_rate)
       m.Modelcheck.Explore.nodes_saved m.Modelcheck.Explore.peak_visited
       (if exact_configs then
@@ -839,9 +822,9 @@ let modelcheck_cmd =
            m.Modelcheck.Explore.fingerprint_collisions
        else "");
     Printf.printf
-      "throughput: %.0f nodes/sec over %.2fs on %d domain(s), %s engine\n"
+      "throughput: %.0f nodes/sec over %.2fs on %d domain(s)\n"
       m.Modelcheck.Explore.nodes_per_sec m.Modelcheck.Explore.elapsed_s
-      m.Modelcheck.Explore.domains_used m.Modelcheck.Explore.engine;
+      m.Modelcheck.Explore.domains_used;
     Printf.printf
       "allocation: %.0f bytes/node (%.0f minor words, %.0f promoted, %d \
        minor GCs)\n"
@@ -864,22 +847,19 @@ let modelcheck_cmd =
     else if out.Modelcheck.Explore.capped then
       print_endline
         "node budget reached: counters are partial lower bounds";
-    if m.Modelcheck.Explore.engine = "undo" then (
-      let hits = m.Modelcheck.Explore.intern_hits
-      and misses = m.Modelcheck.Explore.intern_misses in
-      Printf.printf
-        "undo: %d cells rewound (%.0f cells/sec), intern hit rate %.1f%% \
-         (%d hits / %d misses)\n"
-        m.Modelcheck.Explore.rewound_cells
-        m.Modelcheck.Explore.rewound_cells_per_sec
-        (100.0 *. m.Modelcheck.Explore.intern_hit_rate)
-        hits misses;
-      match m.Modelcheck.Explore.journal_depth_hist with
-      | [] -> ()
-      | hist ->
-          Printf.printf "journal depth (log2 buckets): %s\n"
-            (String.concat " "
-               (List.map (fun (b, n) -> Printf.sprintf "%d:%d" b n) hist)));
+    Printf.printf
+      "undo: %d cells rewound (%.0f cells/sec), intern hit rate %.1f%% (%d \
+       hits / %d misses)\n"
+      m.Modelcheck.Explore.rewound_cells
+      m.Modelcheck.Explore.rewound_cells_per_sec
+      (100.0 *. m.Modelcheck.Explore.intern_hit_rate)
+      m.Modelcheck.Explore.intern_hits m.Modelcheck.Explore.intern_misses;
+    (match m.Modelcheck.Explore.journal_depth_hist with
+    | [] -> ()
+    | hist ->
+        Printf.printf "journal depth (log2 buckets): %s\n"
+          (String.concat " "
+             (List.map (fun (b, n) -> Printf.sprintf "%d:%d" b n) hist)));
     Printf.printf
       "checker: %s engine, %d leaf checks (%.0f checks/sec, %.3fs), %.1f%% \
        event reuse (%d of %d events pushed)\n"
@@ -904,7 +884,7 @@ let modelcheck_cmd =
             (0, 0) hist
         in
         Printf.printf
-          "replay depth: max %d decisions, busiest depth %d (%d nodes)\n"
+          "DFS depth: max %d decisions, busiest depth %d (%d nodes)\n"
           deepest busiest_d busiest_n);
     List.iter
       (fun (v : Modelcheck.Explore.violation) ->
@@ -918,7 +898,7 @@ let modelcheck_cmd =
         match
           Modelcheck.Shrink.minimise
             ~mk:(mk_of_kind kind ~n:procs)
-            ~workloads ~policy ~engine ~lin_engine ~reduction v.decisions
+            ~workloads ~policy ~lin_engine v.decisions
         with
         | Some r ->
             Printf.printf
@@ -945,7 +925,7 @@ let modelcheck_cmd =
     Term.(
       ret
         (const run $ obj_arg $ procs_arg $ ops_arg $ switches $ crashes
-       $ domains $ no_prune $ exact_configs $ engine $ lin_engine_arg
+       $ domains $ no_prune $ exact_configs $ lin_engine_arg
        $ reduction $ node_budget $ policy_arg $ seed_arg))
 
 (* witness *)

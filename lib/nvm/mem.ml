@@ -84,13 +84,13 @@ let term_b id (c : Value.hc) = Value.mix id c.Value.db
    old contents' fingerprint terms for the new ones.  Does NOT journal —
    callers journal first when appropriate (rewind must not).
 
-   Maintenance is gated on [journal_on]: it is the undo engine's
-   signature, and that engine is exactly the caller whose hot loop
-   reads a fingerprint at every node, where an O(1) accumulator read
-   beats the O(cells) scan.  The replay engine re-executes whole
-   decision prefixes per node, so per-write maintenance would cost it
-   O(depth) where one scan per node is cheaper — with the gate off it
-   keeps the scan (see the [live_] readers below).  [set_journal]
+   Maintenance is gated on [journal_on]: journaling stores belong to the
+   undo sessions of the explorer and the shrinker, whose hot loop reads
+   a fingerprint at every node, where an O(1) accumulator read beats
+   the O(cells) scan.  Non-journaling stores (torture trials, one-shot
+   executions) read fingerprints rarely if at all, so per-write
+   maintenance would be pure overhead there — with the gate off they
+   keep the scan (see the [live_] readers below).  [set_journal]
    recomputes the accumulators when journaling turns on. *)
 let fp_set mem id (c' : Value.hc) =
   if mem.journal_on then begin

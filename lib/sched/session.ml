@@ -937,8 +937,9 @@ let state_digest s =
                 else 12
             | None ->
                 (* a stale undo-mode fiber is logically alive: digest the
-                   status it will have once rebuilt, so replay- and
-                   undo-engine digests of the same configuration agree *)
+                   status it will have once rebuilt, so a rewound session
+                   digests a configuration exactly as a fresh execution
+                   reaching it does *)
                 if s.undo && ps.stale then
                   if ps.l_runnable then 4 else if ps.l_done then 8 else 12
                 else 16)

@@ -277,10 +277,6 @@ let run_trial spec ~scratch ~root ~index =
 
 let checkpoint_schema = "detectable-torture-checkpoint/v2"
 
-(* v1 journals are v2 without lifecycle event lines; reading them needs
-   nothing extra, so resume accepts both *)
-let checkpoint_schema_v1 = "detectable-torture-checkpoint/v1"
-
 let header_line (spec : spec) ~root_seed ~trials =
   Printf.sprintf
     {|{ "schema": %S, "object": "%s", "root_seed": %d, "trials": %d, "policy": %S, "crash_prob": %.4f, "max_crashes": %d, "max_steps": %d, "fault": %S, "watchdog": %d }|}
@@ -380,8 +376,7 @@ let read_checkpoint path (spec : spec) ~root_seed ~trials =
              path what)
       in
       let schema = str "schema" in
-      if schema <> checkpoint_schema && schema <> checkpoint_schema_v1 then
-        mismatch "schema";
+      if schema <> checkpoint_schema then mismatch "schema";
       if str "object" <> spec.label then mismatch "object";
       if int "root_seed" <> root_seed then mismatch "root_seed";
       if int "trials" <> trials then mismatch "trials";
@@ -594,7 +589,7 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
                 Modelcheck.Shrink.minimise ~mk:spec.mk
                   ~workloads:(spec.workloads_of_seed tr.t_seed)
                   ~policy:spec.policy ~wipe ~max_steps:spec.max_steps
-                  ~engine:`Undo tr.t_trace
+                  tr.t_trace
               with _ -> None
             with
             | Some r ->

@@ -99,13 +99,13 @@ let test_violation_reports_schedule () =
       Alcotest.(check bool) "schedule contains the crash" true
         (List.mem Modelcheck.Explore.Crash v.decisions)
 
-(* --- pruned / parallel engines agree with the original engine ---
+(* --- pruned / parallel searches agree with the unpruned one ---
 
    Memoisation stores exact subtree summaries, so every externally
    observable counter (executions, truncated, violations, distinct shared
-   configurations) must be bit-identical to the unpruned engine; only the
-   number of physically replayed nodes may shrink.  The same holds for the
-   domain-partitioned engine, whose workers split the top-level frontier. *)
+   configurations) must be bit-identical to the unpruned search; only the
+   number of physically visited nodes may shrink.  The same holds for the
+   domain-partitioned search, whose workers split the top-level frontier. *)
 
 let mk_no_vec () =
   let m = Runtime.Machine.create () in
@@ -153,7 +153,7 @@ let check_engines_agree ~mk ~workloads ~switches ~crashes () =
   in
   let pruned = run { base with prune = true; exact_configs = true } in
   agree "pruned" pruned;
-  (* every replay the pruned engine skipped is accounted for *)
+  (* every node visit the pruned search skipped is accounted for *)
   Alcotest.(check int) "pruned: nodes + nodes_saved = unpruned nodes"
     unpruned.Modelcheck.Explore.nodes
     (pruned.Modelcheck.Explore.nodes
@@ -182,92 +182,116 @@ let test_engines_agree_reexec () =
     (check_engines_agree ~mk:mk_reexec ~workloads:fig2_workload ~switches:2
        ~crashes:1 ())
 
-(* --- the undo engine agrees with the replay engine ---
+(* --- the explorer agrees with the naive replay-from-root oracle ---
 
-   The undo engine visits the same DFS nodes in the same order as the
-   replay engine (same runnable ordering, same digests, same memo keys),
-   so EVERY externally observable number — including physically visited
-   nodes and the memo statistics — and the violation samples must be
-   byte-identical; only wall-clock differs. *)
+   [Explore_ref] re-executes every node from the root with a fresh
+   machine and judges every leaf with the batch checker.  The unpruned,
+   unreduced explorer visits the same DFS nodes in the same order, so
+   EVERY counter — physically visited nodes included — and the
+   violation samples must be identical; only wall-clock differs. *)
 
 let viol_sig (o : Modelcheck.Explore.outcome) =
   List.map
     (fun (v : Modelcheck.Explore.violation) -> (v.decisions, v.msg))
     o.Modelcheck.Explore.violations
 
-let check_undo_matches_replay ?(domains = 1) ~mk ~workloads ~switches ~crashes
-    () =
-  let cfg engine =
+let take k l = List.filteri (fun i _ -> i < k) l
+
+(* the unpruned explorer's outcome and the oracle's agree on every
+   counter; with one domain the capped sample is the oracle's DFS-order
+   prefix, with several it is drawn from the oracle's violations *)
+let matches_oracle ?(domains = 1) ~mk ~workloads ~switches ~crashes () =
+  let cfg =
     {
       Modelcheck.Explore.default_config with
       switch_budget = switches;
       crash_budget = crashes;
+      prune = false;
       domains;
-      engine;
     }
   in
-  let run e = Modelcheck.Explore.explore ~mk ~workloads (cfg e) in
-  let r = run `Replay and u = run `Undo in
-  let ck label f =
-    Alcotest.(check int) label (f r) (f u)
+  let u = Modelcheck.Explore.explore ~mk ~workloads cfg in
+  let r =
+    Explore_ref.explore ~mk ~workloads ~switch_budget:switches
+      ~crash_budget:crashes ()
   in
-  ck "executions" (fun o -> o.Modelcheck.Explore.executions);
-  ck "truncated" (fun o -> o.Modelcheck.Explore.truncated);
-  ck "nodes" (fun o -> o.Modelcheck.Explore.nodes);
-  ck "total_violations" (fun o -> o.Modelcheck.Explore.total_violations);
-  ck "distinct_shared_configs"
-    (fun o -> o.Modelcheck.Explore.distinct_shared_configs);
-  ck "dedup_hits"
-    (fun o -> o.Modelcheck.Explore.metrics.Modelcheck.Explore.dedup_hits);
-  ck "nodes_saved"
-    (fun o -> o.Modelcheck.Explore.metrics.Modelcheck.Explore.nodes_saved);
-  ck "peak_visited"
-    (fun o -> o.Modelcheck.Explore.metrics.Modelcheck.Explore.peak_visited);
-  Alcotest.(check bool) "violation samples identical" true
-    (viol_sig r = viol_sig u);
-  Alcotest.(check string) "undo run is labelled undo" "undo"
-    u.Modelcheck.Explore.metrics.Modelcheck.Explore.engine;
+  let full (v : Modelcheck.Explore.violation) =
+    (v.decisions, v.msg, v.history)
+  in
+  let sample = List.map full u.Modelcheck.Explore.violations in
+  let all = List.map full r.Explore_ref.violations in
+  let samples_ok =
+    if domains = 1 then sample = take cfg.max_violations all
+    else
+      List.length sample = min cfg.max_violations r.Explore_ref.total_violations
+      && List.for_all (fun v -> List.mem v all) sample
+  in
+  ( u,
+    [
+      ("executions", r.Explore_ref.executions, u.Modelcheck.Explore.executions);
+      ("truncated", r.Explore_ref.truncated, u.Modelcheck.Explore.truncated);
+      ("nodes", r.Explore_ref.nodes, u.Modelcheck.Explore.nodes);
+      ( "total_violations",
+        r.Explore_ref.total_violations,
+        u.Modelcheck.Explore.total_violations );
+      ( "distinct_shared_configs",
+        r.Explore_ref.distinct_shared_configs,
+        u.Modelcheck.Explore.distinct_shared_configs );
+    ],
+    samples_ok )
+
+let check_matches_oracle ?domains ~mk ~workloads ~switches ~crashes () =
+  let u, counters, samples_ok =
+    matches_oracle ?domains ~mk ~workloads ~switches ~crashes ()
+  in
+  List.iter
+    (fun (label, want, got) -> Alcotest.(check int) label want got)
+    counters;
+  Alcotest.(check bool) "violation samples identical" true samples_ok;
   u
 
-let test_undo_engine_drw () =
+let test_oracle_drw () =
   ignore
-    (check_undo_matches_replay
+    (check_matches_oracle
        ~mk:(fun () -> Test_support.mk_drw ~n:2 ())
        ~workloads:[| [ Spec.write_op (i 1); Spec.read_op ]; [ Spec.write_op (i 2) ] |]
-       ~switches:2 ~crashes:1 ())
+       ~switches:1 ~crashes:1 ())
 
-let test_undo_engine_dcas () =
+let test_oracle_dcas () =
   ignore
-    (check_undo_matches_replay
+    (check_matches_oracle
        ~mk:(fun () -> Test_support.mk_dcas ~n:2 ())
        ~workloads:[| [ Spec.cas_op (i 0) (i 1) ]; [ Spec.cas_op (i 1) (i 0) ] |]
        ~switches:2 ~crashes:1 ())
 
-let test_undo_engine_broken_violating () =
+let test_oracle_broken_violating () =
   (* on the broken baselines the agreement covers real violation sets *)
   let u =
-    check_undo_matches_replay ~mk:mk_no_vec ~workloads:no_vec_workload
-      ~switches:2 ~crashes:1 ()
+    check_matches_oracle ~mk:mk_no_vec ~workloads:no_vec_workload ~switches:2
+      ~crashes:1 ()
   in
   Alcotest.(check bool) "no_vec violates" true
     (u.Modelcheck.Explore.total_violations > 0);
-  Alcotest.(check bool) "undo engine rewinds" true
+  Alcotest.(check bool) "undo search rewinds" true
     (u.Modelcheck.Explore.metrics.Modelcheck.Explore.rewound_cells > 0);
   let u2 =
-    check_undo_matches_replay ~mk:mk_reexec ~workloads:fig2_workload
-      ~switches:2 ~crashes:1 ()
+    check_matches_oracle ~mk:mk_reexec ~workloads:fig2_workload ~switches:2
+      ~crashes:1 ()
   in
   Alcotest.(check bool) "reexec violates" true
     (u2.Modelcheck.Explore.total_violations > 0)
 
-let test_undo_engine_parallel () =
-  ignore
-    (check_undo_matches_replay ~domains:2 ~mk:mk_no_vec
-       ~workloads:no_vec_workload ~switches:2 ~crashes:1 ())
+let test_oracle_parallel () =
+  let u =
+    check_matches_oracle ~domains:2 ~mk:mk_no_vec ~workloads:no_vec_workload
+      ~switches:2 ~crashes:1 ()
+  in
+  Alcotest.(check int) "ran on 2 domains" 2
+    u.Modelcheck.Explore.metrics.Modelcheck.Explore.domains_used
 
 (* --- the incremental lin-checker agrees with the batch reference ---
 
-   Same contract as undo-vs-replay: the checker engine must not change
+   Same contract as the naive oracle's: the checker engine must not change
    ANY externally observable number, only the leaf-check cost. *)
 
 let check_lin_engines_agree ~mk ~workloads ~switches ~crashes () =
@@ -330,9 +354,10 @@ let test_lin_engines_agree_broken () =
   Alcotest.(check bool) "violations present" true
     (inc.Modelcheck.Explore.total_violations > 0)
 
-let prop_undo_replay_random_workloads =
-  (* engine equivalence over randomly generated cas workloads on the
-     ablated (violating) object — each seed is a fresh property case *)
+let prop_oracle_random_workloads =
+  (* oracle agreement over randomly generated cas workloads on the
+     ablated (violating) object — each seed is a fresh property case;
+     the generator's own seed is fixed where the suite is assembled *)
   QCheck.Test.make ~name:"undo = replay on random workloads" ~count:12
     QCheck.small_nat (fun seed ->
       let workloads =
@@ -340,24 +365,10 @@ let prop_undo_replay_random_workloads =
           (Dtc_util.Prng.create (seed + 1))
           ~procs:2 ~ops_per_proc:2 ~values:2
       in
-      let cfg engine =
-        {
-          Modelcheck.Explore.default_config with
-          switch_budget = 2;
-          crash_budget = 1;
-          engine;
-        }
+      let _, counters, samples_ok =
+        matches_oracle ~mk:mk_no_vec ~workloads ~switches:1 ~crashes:1 ()
       in
-      let run e = Modelcheck.Explore.explore ~mk:mk_no_vec ~workloads (cfg e) in
-      let r = run `Replay and u = run `Undo in
-      r.Modelcheck.Explore.executions = u.Modelcheck.Explore.executions
-      && r.Modelcheck.Explore.truncated = u.Modelcheck.Explore.truncated
-      && r.Modelcheck.Explore.nodes = u.Modelcheck.Explore.nodes
-      && r.Modelcheck.Explore.total_violations
-         = u.Modelcheck.Explore.total_violations
-      && r.Modelcheck.Explore.distinct_shared_configs
-         = u.Modelcheck.Explore.distinct_shared_configs
-      && viol_sig r = viol_sig u)
+      samples_ok && List.for_all (fun (_, want, got) -> want = got) counters)
 
 let test_metrics_sanity () =
   let out =
@@ -375,7 +386,7 @@ let test_metrics_sanity () =
     (m.Modelcheck.Explore.elapsed_s >= 0.0);
   Alcotest.(check int) "sequential run reports one domain" 1
     m.Modelcheck.Explore.domains_used;
-  (* the depth histogram accounts for every replayed node exactly once *)
+  (* the depth histogram accounts for every visited node exactly once *)
   Alcotest.(check int) "depth histogram sums to nodes"
     out.Modelcheck.Explore.nodes
     (List.fold_left
@@ -406,17 +417,18 @@ let suites =
           test_engines_agree_no_vec;
         Alcotest.test_case "engines agree (rw_no_aux_reexec)" `Quick
           test_engines_agree_reexec;
-        Alcotest.test_case "undo = replay (drw)" `Quick test_undo_engine_drw;
-        Alcotest.test_case "undo = replay (dcas)" `Quick test_undo_engine_dcas;
+        Alcotest.test_case "undo = replay (drw)" `Quick test_oracle_drw;
+        Alcotest.test_case "undo = replay (dcas)" `Quick test_oracle_dcas;
         Alcotest.test_case "undo = replay (broken, violating)" `Quick
-          test_undo_engine_broken_violating;
+          test_oracle_broken_violating;
         Alcotest.test_case "undo = replay (parallel)" `Quick
-          test_undo_engine_parallel;
+          test_oracle_parallel;
         Alcotest.test_case "lin engines agree (drw)" `Quick
           test_lin_engines_agree_drw;
         Alcotest.test_case "lin engines agree (broken, violating)" `Quick
           test_lin_engines_agree_broken;
-        QCheck_alcotest.to_alcotest prop_undo_replay_random_workloads;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+          prop_oracle_random_workloads;
         Alcotest.test_case "metrics sanity" `Quick test_metrics_sanity;
       ] );
   ]

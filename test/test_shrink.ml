@@ -90,16 +90,17 @@ let test_tolerant_replay_skips_dead_steps () =
   | None -> ()
   | Some (_, msg) -> Alcotest.failf "unexpected violation: %s" msg
 
-let test_engine_parity () =
-  (* the undo-substrate shrinker tries the same candidates in the same
-     order as the replay one, so every field of the result — including
-     the number of physical attempts — must be identical *)
+(* the undo shrinker and the replay-from-scratch [Shrink_ref] oracle
+   try the same candidates in the same order, so every field of the
+   result — including the number of attempts — must be identical *)
+let check_oracle_parity ~lin_engine =
   let v = find_violation () in
-  let run engine =
-    Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads ~engine
-      v.Modelcheck.Explore.decisions
-  in
-  match (run `Replay, run `Undo) with
+  match
+    ( Shrink_ref.minimise ~mk:mk_no_vec ~workloads ~lin_engine
+        v.Modelcheck.Explore.decisions,
+      Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads ~lin_engine
+        v.Modelcheck.Explore.decisions )
+  with
   | Some r, Some u ->
       Alcotest.(check bool) "same minimised decisions" true
         (r.Modelcheck.Shrink.decisions = u.Modelcheck.Shrink.decisions);
@@ -108,38 +109,37 @@ let test_engine_parity () =
       Alcotest.(check bool) "same history" true
         (r.Modelcheck.Shrink.history = u.Modelcheck.Shrink.history);
       Alcotest.(check int) "same attempts" r.Modelcheck.Shrink.attempts
-        u.Modelcheck.Shrink.attempts
-  | _ -> Alcotest.fail "engines disagree on reproducibility"
+        u.Modelcheck.Shrink.attempts;
+      u
+  | _ -> Alcotest.fail "oracle and shrinker disagree on reproducibility"
+
+let test_oracle_parity () = ignore (check_oracle_parity ~lin_engine:`Incremental)
 
 let test_lin_engine_parity () =
   (* the shadowing incremental lin-session must judge every shrink
-     candidate exactly as the batch checker does, on both substrates —
-     rewind-heavy traffic by construction, since the shrinker rewinds
-     the session across every rejected candidate *)
-  let v = find_violation () in
-  let run engine lin_engine =
-    Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads ~engine ~lin_engine
-      v.Modelcheck.Explore.decisions
-  in
-  List.iter
-    (fun engine ->
-      match (run engine `Batch, run engine `Incremental) with
-      | Some b, Some inc ->
-          Alcotest.(check bool) "same minimised decisions" true
-            (b.Modelcheck.Shrink.decisions = inc.Modelcheck.Shrink.decisions);
-          Alcotest.(check string) "same message" b.Modelcheck.Shrink.msg
-            inc.Modelcheck.Shrink.msg;
-          Alcotest.(check int) "same attempts" b.Modelcheck.Shrink.attempts
-            inc.Modelcheck.Shrink.attempts
-      | _ -> Alcotest.fail "lin engines disagree on reproducibility")
-    [ `Replay; `Undo ]
+     candidate exactly as the batch checker does — rewind-heavy traffic
+     by construction, since the shrinker rewinds the session across
+     every rejected candidate — and both must match the oracle *)
+  let b = check_oracle_parity ~lin_engine:`Batch
+  and inc = check_oracle_parity ~lin_engine:`Incremental in
+  Alcotest.(check bool) "same minimised decisions" true
+    (b.Modelcheck.Shrink.decisions = inc.Modelcheck.Shrink.decisions);
+  Alcotest.(check string) "same message" b.Modelcheck.Shrink.msg
+    inc.Modelcheck.Shrink.msg;
+  Alcotest.(check int) "same attempts" b.Modelcheck.Shrink.attempts
+    inc.Modelcheck.Shrink.attempts
 
 let test_undo_refuses_non_repro () =
+  (* the undo shrinker and the oracle agree on refusing a schedule that
+     does not reproduce *)
   let mk () = Test_support.mk_dcas ~n:2 () in
-  match
-    Modelcheck.Shrink.minimise ~mk ~workloads ~engine:`Undo
-      [ Modelcheck.Explore.Crash ]
-  with
+  let decisions =
+    Modelcheck.Explore.[ Step 0; Crash; Step 1; Step 0; Crash; Step 1 ]
+  in
+  (match Shrink_ref.minimise ~mk ~workloads decisions with
+  | None -> ()
+  | Some _ -> Alcotest.fail "oracle minimise invented a violation");
+  match Modelcheck.Shrink.minimise ~mk ~workloads decisions with
   | None -> ()
   | Some _ -> Alcotest.fail "undo minimise invented a violation"
 
@@ -158,7 +158,7 @@ let suites =
         Alcotest.test_case "tolerant replay" `Quick
           test_tolerant_replay_skips_dead_steps;
         Alcotest.test_case "undo = replay engine parity" `Quick
-          test_engine_parity;
+          test_oracle_parity;
         Alcotest.test_case "undo refuses non-repro" `Quick
           test_undo_refuses_non_repro;
         Alcotest.test_case "lin engine parity (both substrates)" `Quick

@@ -387,6 +387,18 @@ let test_checkpoint_resume_identity () =
             (Torture.to_json ~timing:false noop)))
     [ (fun () -> dcas_spec ()); broken_spec ]
 
+let string_contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let expect_invalid what sub run =
+  match run () with
+  | (_ : Torture.report) -> Alcotest.failf "journal accepted despite %s" what
+  | exception Invalid_argument m ->
+      if not (string_contains m sub) then
+        Alcotest.failf "%s diagnostic %S does not mention %S" what m sub
+
 (* a journal written under different campaign parameters must be
    rejected, field by field *)
 let test_checkpoint_header_validated () =
@@ -409,14 +421,26 @@ let test_checkpoint_header_validated () =
             (broken_spec ()));
       expect_reject "fault" (fun () ->
           Torture.run ~root_seed:21 ~trials:20 ~checkpoint:path ~resume:true
-            (faulted_dcas_spec Nvm.Fault_model.Reorder)))
+            (faulted_dcas_spec Nvm.Fault_model.Reorder));
+      (* a v1 header (the pre-event-line format nothing writes any more)
+         is refused as a schema mismatch, not read *)
+      let v2 = Torture.checkpoint_schema in
+      let v1 = String.sub v2 0 (String.length v2 - 1) ^ "1" in
+      let v2_header = Torture.header_line (dcas_spec ()) ~root_seed:21 ~trials:20 in
+      (match read_lines path with
+      | header :: rest when header = v2_header ->
+          let k = String.length {|{ "schema": "|} in
+          let n = String.length v2 in
+          write_lines path
+            ((String.sub header 0 k ^ v1
+             ^ String.sub header (k + n) (String.length header - k - n))
+            :: rest)
+      | _ -> Alcotest.fail "unexpected journal header");
+      expect_invalid "a v1 header" "schema differs" (fun () ->
+          Torture.run ~root_seed:21 ~trials:20 ~checkpoint:path ~resume:true
+            (dcas_spec ())))
 
 (* --- journal hardening: duplicates, corruption, torn tails --- *)
-
-let string_contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
 
 let has_prefix p l =
   String.length l >= String.length p && String.sub l 0 (String.length p) = p
@@ -431,13 +455,6 @@ let reindexed_line lines ~from_i ~to_i =
   | Some l ->
       new_p
       ^ String.sub l (String.length old_p) (String.length l - String.length old_p)
-
-let expect_invalid what sub run =
-  match run () with
-  | (_ : Torture.report) -> Alcotest.failf "journal accepted despite %s" what
-  | exception Invalid_argument m ->
-      if not (string_contains m sub) then
-        Alcotest.failf "%s diagnostic %S does not mention %S" what m sub
 
 (* replaying trial lines verbatim (two shards raced on the same range)
    must dedupe idempotently and change nothing *)
